@@ -242,7 +242,6 @@ impl Default for Codesign {
             // hanging the sweep.
             options: CompileOptions {
                 restarts: 2,
-                sched_threads: 1,
                 fuel: Some(10_000),
                 ..CompileOptions::default()
             },

@@ -195,7 +195,6 @@ impl Default for ConformFleet {
             // sweep (the cap is far above what any corpus cell spends).
             options: CompileOptions {
                 restarts: 2,
-                sched_threads: 1,
                 fuel: Some(10_000),
                 ..CompileOptions::default()
             },
@@ -793,7 +792,6 @@ mod tests {
             .options(CompileOptions {
                 budget: Some(4), // absurdly tight: every cell infeasible
                 restarts: 1,
-                sched_threads: 1,
                 ..CompileOptions::default()
             });
         let report = fleet.run();
@@ -872,7 +870,6 @@ mod tests {
                 exact: true,
                 fuel: Some(1),
                 restarts: 1,
-                sched_threads: 1,
                 ..CompileOptions::default()
             })
             .run();

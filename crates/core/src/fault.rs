@@ -202,7 +202,6 @@ impl Default for FaultAudit {
             threads: 0,
             options: CompileOptions {
                 restarts: 2,
-                sched_threads: 1,
                 fuel: Some(10_000),
                 ..CompileOptions::default()
             },

@@ -139,7 +139,6 @@ impl Default for IoFaultAudit {
             threads: 0,
             options: CompileOptions {
                 restarts: 2,
-                sched_threads: 1,
                 fuel: Some(10_000),
                 ..CompileOptions::default()
             },

@@ -287,16 +287,6 @@ impl<'c> Compiler<'c> {
         self
     }
 
-    /// Worker threads for the scheduling restarts: `0` (the default) uses
-    /// one per available core, `1` runs inline. The schedule is
-    /// **bit-identical for every setting** — the parallel engine reduces
-    /// attempts by a deterministic `(length, attempt index)` rule — so
-    /// this knob trades latency only, never output.
-    pub fn sched_threads(&mut self, n: usize) -> &mut Self {
-        self.options.sched_threads = n;
-        self
-    }
-
     /// Disables justification compaction (single greedy pass only) — the
     /// weak-scheduler baseline of experiment E10.
     pub fn compaction(&mut self, on: bool) -> &mut Self {

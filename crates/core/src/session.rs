@@ -78,7 +78,10 @@ pub struct CompileOptions {
     pub restarts: u32,
     /// Justification compaction on/off.
     pub compaction: bool,
-    /// Scheduler worker threads (`0` = one per core; output-invariant).
+    /// Has no effect: every scheduling attempt runs on the caller's
+    /// thread, and parallelism belongs to the caller (one compile per
+    /// worker, as in [`crate::CompileService`]). Kept so existing struct
+    /// literals still compile; not part of any stage key.
     pub sched_threads: usize,
     /// Deterministic compute budget for the scheduling search, in work
     /// units (one unit = one attempt, justification pass, or

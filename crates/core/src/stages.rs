@@ -132,11 +132,11 @@ pub fn analysis_key(modify_key: u64) -> u64 {
 /// while the compacting scheduler is active is therefore a *full* cache
 /// hit: the option is not an input of that path.
 ///
-/// `sched_threads` is deliberately excluded everywhere: the parallel
-/// restart engine is bit-identical for every thread count (pinned by the
-/// scheduler's own tests), so it is a latency knob, not an input. The
-/// budget is keyed as given (not clamped to the cap) — conservative, but
-/// key computation stays a pure function of the options.
+/// `sched_threads` is excluded everywhere: the field has no effect (every
+/// scheduling attempt runs on the caller's thread), so it is not an
+/// input. The budget is keyed as given (not clamped to the cap) —
+/// conservative, but key computation stays a pure function of the
+/// options.
 pub fn schedule_key(analysis_key: u64, core: &Core, options: &CompileOptions) -> u64 {
     Fnv64::of_parts(|h| {
         h.write_text("schedule");
@@ -162,9 +162,8 @@ pub fn schedule_key(analysis_key: u64, core: &Core, options: &CompileOptions) ->
         // truncated search produces a different — possibly degraded —
         // schedule), so a fuel-limited result must never be cached under
         // a full-budget key. The plain list scheduler runs exactly one
-        // mandatory attempt whatever the fuel, so there — like
-        // `sched_threads` everywhere — fuel is excluded as
-        // output-invariant.
+        // mandatory attempt whatever the fuel, so there fuel is excluded
+        // as output-invariant.
         match options.fuel {
             Some(f) if options.exact || options.compaction => {
                 h.write_bool(true);
@@ -471,7 +470,6 @@ pub fn run_schedule(
                     matrix,
                     Some(budget),
                     options.restarts,
-                    options.sched_threads,
                     &mut fuel,
                     cancel,
                 )
@@ -501,7 +499,6 @@ pub fn run_schedule(
             matrix,
             Some(budget),
             options.restarts,
-            options.sched_threads,
             &mut fuel,
             cancel,
         )
@@ -635,7 +632,7 @@ mod tests {
         let sk = schedule_key(analysis_key(modify_key(lk, &core)), &core, &opts);
         let sk2 = schedule_key(analysis_key(modify_key(lk, &core)), &core, &sched_opts);
         assert_ne!(sk, sk2);
-        // ...but not the thread count (output-invariant).
+        // ...but not the thread field, which has no effect.
         let mut threads = opts.clone();
         threads.sched_threads = 7;
         assert_eq!(
@@ -661,5 +658,35 @@ mod tests {
         let lowered = run_lower(&fe.dfg, &core, &CompileOptions::default()).unwrap();
         let modified = run_modify(&lowered, &core);
         assert!(Arc::ptr_eq(&lowered.lowering, &modified.lowering));
+    }
+
+    /// The scheduling context, derived from one topological order,
+    /// equals the per-field reference — ASAP, ALAP against the priority
+    /// target, successor depths and lane deadlines — on the audio-core
+    /// size ladder, on the dependence graph and on its time mirror.
+    #[test]
+    fn schedule_context_matches_reference_on_the_ladder() {
+        use dspcc_sched::list::ScheduleContext;
+        let core = cores::audio_core();
+        let mut ladder: Vec<String> = [8, 16, 32, 64].map(crate::apps::fir).into();
+        ladder.extend([16, 64].map(crate::apps::sum_of_products));
+        ladder.push(crate::apps::biquad_cascade(3));
+        ladder.push(crate::apps::add_tree(8));
+        ladder.push(crate::apps::audio_application());
+        for source in &ladder {
+            let fe = run_frontend(source).unwrap();
+            let lowered = run_lower(&fe.dfg, &core, &CompileOptions::default()).unwrap();
+            let modified = run_modify(&lowered, &core);
+            let analysis = run_analysis(&modified).unwrap();
+            let program = &modified.lowering.program;
+            for deps in [(*analysis.deps).clone(), analysis.deps.reversed()] {
+                for budget in [None, Some(core.controller.program_depth())] {
+                    assert_eq!(
+                        ScheduleContext::build(program, &deps, budget),
+                        ScheduleContext::build_reference(program, &deps, budget)
+                    );
+                }
+            }
+        }
     }
 }

@@ -12,17 +12,16 @@
 //! construction?" — is answered by ANDing r's packed conflict row against a
 //! per-cycle **occupancy bitset** ([`ConflictMatrix::fits_mask`]): one
 //! word-parallel pass instead of a loop over the cycle's RTs. The
-//! per-schedule priority data (ASAP/ALAP/depth/sink deadlines) is computed
-//! once in a [`ScheduleContext`] and shared across all restarts of
+//! per-schedule priority data (ASAP/ALAP/depth/sink deadlines) is derived
+//! from one topological order, computed once in a [`ScheduleContext`] per
+//! direction, and shared across all restarts of
 //! [`best_effort_schedule`], which also reuses one [`SchedScratch`] buffer
 //! set for every attempt, so restarts allocate nothing but the winning
 //! schedule.
 
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
-
 use dspcc_ir::{Program, RtId};
 
-use crate::bounds::distinct_usage_bound;
+use crate::bounds::{conflict_clique_bound, distinct_usage_bound};
 use crate::deps::DependenceGraph;
 use crate::fuel::{CancelToken, Fuel};
 use crate::schedule::{ConflictMatrix, SchedError, Schedule};
@@ -88,7 +87,7 @@ impl ListConfig {
 /// Priority data shared by every restart of a scheduling run: ASAP/ALAP
 /// windows, critical-path depths, and lane (sink) deadlines, all computed
 /// **once** per `(program, deps, budget)` instead of per attempt.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ScheduleContext {
     asap: Vec<u32>,
     alap: Vec<u32>,
@@ -100,19 +99,148 @@ pub struct ScheduleContext {
 impl ScheduleContext {
     /// Computes the context for scheduling `program` under `budget`.
     pub fn build(program: &Program, deps: &DependenceGraph, budget: Option<u32>) -> Self {
-        let asap = deps.asap();
-        let horizon = budget.unwrap_or_else(|| serial_upper_bound(program, deps));
+        DepFacts::of(program, deps).forward(deps, budget)
+    }
+
+    /// The same context derived field by field from the dependence
+    /// graph's own analyses (one topological sort per vector), retained
+    /// as the reference [`ScheduleContext::build`] is tested against.
+    pub fn build_reference(program: &Program, deps: &DependenceGraph, budget: Option<u32>) -> Self {
+        let order = deps.topological_order();
+        let n = deps.rt_count();
+        let target = budget
+            .unwrap_or(0)
+            .max(deps.critical_path() + 1)
+            .max(distinct_usage_bound(program));
+        let alap = deps.alap(target);
+        let mut depth = vec![0u32; n];
+        let mut sink = vec![u32::MAX; n];
+        for &rt in order.iter().rev() {
+            let i = rt.0 as usize;
+            for (succ, lat) in deps.successors(rt) {
+                depth[i] = depth[i].max(depth[succ.0 as usize] + lat);
+                sink[i] = sink[i].min(sink[succ.0 as usize]);
+            }
+            if sink[i] == u32::MAX {
+                sink[i] = alap[i];
+            }
+        }
+        ScheduleContext {
+            asap: deps.asap(),
+            alap,
+            depth,
+            sink,
+            horizon: budget.unwrap_or(n as u32 + deps.critical_path() + 1),
+        }
+    }
+}
+
+/// The dependence facts one scheduling call needs, derived from a single
+/// topological order: ASAP times, successor depths, the critical path and
+/// the distinct-usage count. They serve the length lower bound and both
+/// the forward and the time-mirrored context — the mirror's ASAP is the
+/// forward depth and vice versa, and every ALAP is `target − 1 − depth` —
+/// so one call sorts the graph once instead of once per derived vector.
+struct DepFacts {
+    order: Vec<RtId>,
+    asap: Vec<u32>,
+    depth: Vec<u32>,
+    critical_path: u32,
+    distinct_usage: u32,
+}
+
+impl DepFacts {
+    fn of(program: &Program, deps: &DependenceGraph) -> Self {
+        let order = deps.topological_order();
+        let n = deps.rt_count();
+        let mut asap = vec![0u32; n];
+        for &rt in &order {
+            let t = asap[rt.0 as usize];
+            for (succ, lat) in deps.successors(rt) {
+                let s = succ.0 as usize;
+                asap[s] = asap[s].max(t + lat);
+            }
+        }
+        let mut depth = vec![0u32; n];
+        for &rt in order.iter().rev() {
+            let i = rt.0 as usize;
+            for (succ, lat) in deps.successors(rt) {
+                depth[i] = depth[i].max(depth[succ.0 as usize] + lat);
+            }
+        }
+        DepFacts {
+            critical_path: asap.iter().copied().max().unwrap_or(0),
+            order,
+            asap,
+            depth,
+            distinct_usage: distinct_usage_bound(program),
+        }
+    }
+
+    /// [`crate::bounds::length_lower_bound`] from the shared facts.
+    fn length_lower_bound(&self, matrix: &ConflictMatrix) -> u32 {
+        let critical = if self.order.is_empty() {
+            0
+        } else {
+            self.critical_path + 1
+        };
+        critical
+            .max(self.distinct_usage)
+            .max(conflict_clique_bound(matrix))
+    }
+
+    /// The context for scheduling `deps` (the graph these facts describe)
+    /// forward.
+    fn forward(&self, deps: &DependenceGraph, budget: Option<u32>) -> ScheduleContext {
+        self.context(
+            deps,
+            &self.asap,
+            &self.depth,
+            self.order.iter().rev(),
+            budget,
+        )
+    }
+
+    /// The context for scheduling `reversed` — the time mirror of the
+    /// graph these facts describe — forward.
+    fn mirrored(&self, reversed: &DependenceGraph, budget: Option<u32>) -> ScheduleContext {
+        self.context(reversed, &self.depth, &self.asap, self.order.iter(), budget)
+    }
+
+    /// Assembles a context; `sinks_first` is a reverse topological order
+    /// of `deps`, along which the lane deadlines propagate.
+    fn context<'a>(
+        &self,
+        deps: &DependenceGraph,
+        asap: &[u32],
+        depth: &[u32],
+        sinks_first: impl Iterator<Item = &'a RtId>,
+        budget: Option<u32>,
+    ) -> ScheduleContext {
+        let n = asap.len() as u32;
+        let horizon = budget.unwrap_or(n + self.critical_path + 1);
         // Deadlines for the *priority* functions are computed against a
         // tight target — the best conceivable schedule — regardless of the
         // actual budget; loose deadlines make every priority meaningless.
-        let target = priority_target(program, deps, budget);
-        let alap = deps.alap(target);
-        let depth = successor_depths(deps);
-        let sink = sink_alaps(deps, &alap);
+        let target = budget
+            .unwrap_or(0)
+            .max(self.critical_path + 1)
+            .max(self.distinct_usage);
+        let alap: Vec<u32> = depth
+            .iter()
+            .map(|&d| (i64::from(target) - 1 - i64::from(d)).max(0) as u32)
+            .collect();
+        let mut sink = alap.clone();
+        for &rt in sinks_first {
+            let i = rt.0 as usize;
+            if let Some(s) = deps.successors(rt).map(|(s, _)| sink[s.0 as usize]).min() {
+                sink[i] = s;
+            }
+        }
         ScheduleContext {
-            asap,
+            asap: asap.to_vec(),
             alap,
-            depth,
+            depth: depth.to_vec(),
             sink,
             horizon,
         }
@@ -203,26 +331,9 @@ pub fn best_effort_schedule(
     restarts: u32,
 ) -> Result<Schedule, SchedError> {
     let matrix = ConflictMatrix::build(program);
-    best_effort_schedule_with(program, deps, &matrix, budget, restarts, 1)
-}
-
-/// As [`best_effort_schedule`], running independent restarts on `threads`
-/// worker threads (`0` = one per available core, capped at 8; `1` =
-/// inline). Output is **bit-identical for every thread count** — see
-/// [`best_effort_schedule_with`] for the reduction rule.
-///
-/// # Errors
-///
-/// See [`best_effort_schedule`].
-pub fn best_effort_schedule_threaded(
-    program: &Program,
-    deps: &DependenceGraph,
-    budget: Option<u32>,
-    restarts: u32,
-    threads: usize,
-) -> Result<Schedule, SchedError> {
-    let matrix = ConflictMatrix::build(program);
-    best_effort_schedule_with(program, deps, &matrix, budget, restarts, threads)
+    AttemptSet::new(program, deps, &matrix, budget)
+        .best_effort(restarts, &mut Fuel::unlimited(), None)
+        .map(|(schedule, _)| schedule)
 }
 
 /// The three construction algorithms tried per `(priority, seed)` pair.
@@ -241,8 +352,10 @@ const ATTEMPT_PRIORITIES: [Priority; 4] = [
 ];
 const ATTEMPT_ALGOS: [Algo; 3] = [Algo::Insertion, Algo::Backward, Algo::List];
 
-/// Everything one restart attempt needs, shared read-only by all workers.
-struct AttemptSet<'a> {
+/// Everything the restart attempts of one run share, built once: the
+/// forward and time-mirrored graphs and contexts, and the provable
+/// length lower bound that stops the run.
+pub(crate) struct AttemptSet<'a> {
     program: &'a Program,
     deps: &'a DependenceGraph,
     reversed: DependenceGraph,
@@ -250,27 +363,49 @@ struct AttemptSet<'a> {
     ctx: ScheduleContext,
     ctx_rev: ScheduleContext,
     budget: Option<u32>,
+    /// [`crate::bounds::length_lower_bound`] of the program.
+    pub(crate) bound: u32,
 }
 
-impl AttemptSet<'_> {
+impl<'a> AttemptSet<'a> {
+    pub(crate) fn new(
+        program: &'a Program,
+        deps: &'a DependenceGraph,
+        matrix: &'a ConflictMatrix,
+        budget: Option<u32>,
+    ) -> Self {
+        let facts = DepFacts::of(program, deps);
+        let reversed = deps.reversed();
+        AttemptSet {
+            program,
+            deps,
+            matrix,
+            ctx: facts.forward(deps, budget),
+            ctx_rev: facts.mirrored(&reversed, budget),
+            reversed,
+            budget,
+            bound: facts.length_lower_bound(matrix),
+        }
+    }
+
     /// Runs one `(priority, jitter seed, algorithm)` attempt.
     fn run(
         &self,
-        &(priority, seed, algo): &(Priority, u64, Algo),
+        priority: Priority,
+        seed: u64,
+        algo: Algo,
         scratch: &mut SchedScratch,
-        cutoff: u32,
+        cutoff: Option<u32>,
     ) -> Result<Schedule, SchedError> {
-        // `cutoff` is the best length already recorded (`u32::MAX` when
-        // none): an attempt that cannot get below it loses the
-        // `(length, index)` reduction even on a tie, so it may run under
-        // a tightened budget and fail early instead of finishing a
-        // schedule that would be discarded. Successful constructions are
-        // untouched — the budget only moves the failure point — so the
-        // reduction winner is bit-identical with or without the cutoff.
-        let budget = match self.budget {
-            Some(b) => Some(b.min(cutoff)),
-            None if cutoff != u32::MAX => Some(cutoff),
-            None => None,
+        // `cutoff` is the best length already found: an attempt that
+        // cannot get below it loses to the earlier schedule even on a
+        // tie, so it runs under a tightened budget and fails early
+        // instead of finishing a schedule that would be discarded.
+        // Successful constructions are untouched — the budget only moves
+        // the failure point — so the winner is the same without it.
+        let budget = match (self.budget, cutoff) {
+            (Some(b), Some(c)) => Some(b.min(c)),
+            (b, c) => b.or(c),
         };
         let config = ListConfig {
             budget,
@@ -304,339 +439,91 @@ impl AttemptSet<'_> {
             ),
         }
     }
-}
 
-/// Deterministic reduction state over attempt outcomes.
-///
-/// The winner is chosen *by rule*, not by arrival order, which is what
-/// makes the parallel engine bit-identical to the serial one: if any
-/// attempt meets the lower bound, the winner is the bound-meeting attempt
-/// with the smallest enumeration index (the one serial evaluation would
-/// have stopped at); otherwise all attempts were evaluated and the winner
-/// is the minimum of `(length, index)`.
-#[derive(Default)]
-struct BestOutcome {
-    /// Minimum `(length, index)` over evaluated successful attempts.
-    any: Option<(u32, u32, Schedule)>,
-    /// Minimum index among attempts with `length ≤ bound`.
-    at_bound: Option<(u32, Schedule)>,
-    /// Maximum-index error (what serial evaluation reports last).
-    err: Option<(u32, SchedError)>,
-}
-
-impl BestOutcome {
-    fn note(&mut self, idx: u32, result: Result<Schedule, SchedError>, bound: u32) {
-        match result {
-            Ok(s) => {
-                let len = s.length();
-                if len <= bound
-                    && self
-                        .at_bound
-                        .as_ref()
-                        .map(|&(i, _)| idx < i)
-                        .unwrap_or(true)
-                {
-                    self.at_bound = Some((idx, s.clone()));
-                }
-                if self
-                    .any
-                    .as_ref()
-                    .map(|&(l, i, _)| (len, idx) < (l, i))
-                    .unwrap_or(true)
-                {
-                    self.any = Some((len, idx, s));
-                }
+    /// The restart engine. Attempts form a fixed enumeration of
+    /// `(priority, jitter seed, algorithm)` triples, grouped into
+    /// **rounds**: round 0 holds the 12 unjittered attempts (4 priorities
+    /// × 3 algorithms), every later round holds the 3 algorithm attempts
+    /// of one `(priority, jittered seed)` pair. Attempts run one after
+    /// another on the caller's thread, and the first attempt to reach a
+    /// length wins ties. Two stopping rules bound the work:
+    ///
+    /// * **Bound cutoff** — the moment an attempt meets the provable
+    ///   length lower bound the engine returns it: nothing can beat it.
+    /// * **Stagnation** — once at least one schedule exists, any jittered
+    ///   round that fails to improve the best length abandons the
+    ///   remaining rounds: the unjittered roster already ran, and one
+    ///   fruitless jitter round is the evidence that tie-break noise is
+    ///   not what this program needs. While every attempt still fails a
+    ///   tight budget, all rounds run — a later seed may be the first
+    ///   feasible one.
+    ///
+    /// `fuel` is charged one unit per attempt, per round before it runs.
+    /// Round 0 is mandatory — it charges saturating, so even a zero
+    /// budget yields a best-effort schedule — while every jittered round
+    /// must pay up front or the run ends there. The returned `u64` counts
+    /// the attempts skipped because fuel ran out (`0` = the search was
+    /// not truncated). `cancel` is polled before every round; a raised
+    /// token aborts with [`SchedError::Cancelled`].
+    pub(crate) fn best_effort(
+        &self,
+        restarts: u32,
+        fuel: &mut Fuel,
+        cancel: Option<&CancelToken>,
+    ) -> Result<(Schedule, u64), SchedError> {
+        let per_round = ATTEMPT_ALGOS.len() as u64;
+        let rounds = 1 + restarts as usize * ATTEMPT_PRIORITIES.len();
+        let mut best: Option<Schedule> = None;
+        let mut last_err = None;
+        let mut scratch = SchedScratch::default();
+        let mut skipped = 0u64;
+        for r in 0..rounds {
+            if cancel.map(CancelToken::is_cancelled).unwrap_or(false) {
+                return Err(SchedError::Cancelled);
             }
-            Err(e) => {
-                if self.err.as_ref().map(|&(i, _)| idx > i).unwrap_or(true) {
-                    self.err = Some((idx, e));
-                }
-            }
-        }
-    }
-
-    fn bound_met(&self) -> bool {
-        self.at_bound.is_some()
-    }
-
-    /// Length of the best schedule so far (`u32::MAX` if none).
-    fn best_len(&self) -> u32 {
-        self.any.as_ref().map(|&(l, _, _)| l).unwrap_or(u32::MAX)
-    }
-
-    fn merge(mut self, other: BestOutcome) -> BestOutcome {
-        if let Some((idx, s)) = other.at_bound {
-            if self
-                .at_bound
-                .as_ref()
-                .map(|&(i, _)| idx < i)
-                .unwrap_or(true)
-            {
-                self.at_bound = Some((idx, s));
-            }
-        }
-        if let Some((len, idx, s)) = other.any {
-            if self
-                .any
-                .as_ref()
-                .map(|&(l, i, _)| (len, idx) < (l, i))
-                .unwrap_or(true)
-            {
-                self.any = Some((len, idx, s));
-            }
-        }
-        if let Some((idx, e)) = other.err {
-            if self.err.as_ref().map(|&(i, _)| idx > i).unwrap_or(true) {
-                self.err = Some((idx, e));
-            }
-        }
-        self
-    }
-
-    fn winner(self) -> Result<Schedule, SchedError> {
-        if let Some((_, s)) = self.at_bound {
-            return Ok(s);
-        }
-        if let Some((_, _, s)) = self.any {
-            return Ok(s);
-        }
-        Err(self.err.expect("at least one attempt ran").1)
-    }
-}
-
-/// Resolves a thread-count knob: `0` = one per available core (capped at
-/// 8 — attempts are short, oversubscription only adds latency), clamped
-/// to the number of attempts.
-fn resolve_threads(threads: usize, total: u32) -> usize {
-    let resolved = if threads == 0 {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-            .min(8)
-    } else {
-        threads
-    };
-    resolved.clamp(1, total.max(1) as usize)
-}
-
-/// As [`best_effort_schedule_threaded`], with a caller-provided conflict
-/// matrix (reused across the compaction pipeline).
-///
-/// The restart engine. Attempts form a fixed enumeration of
-/// `(priority, jitter seed, algorithm)` triples, grouped into **rounds**:
-/// round 0 holds the 12 unjittered attempts (4 priorities × 3
-/// algorithms), every later round holds the 3 algorithm attempts of one
-/// `(priority, jittered seed)` pair. Two stopping rules bound the work:
-///
-/// * **Bound cutoff** — the moment an attempt meets the provable length
-///   lower bound ([`crate::bounds`]) the engine returns it: nothing can
-///   beat it.
-/// * **Stagnation** — once at least one schedule exists, any jittered
-///   round that fails to improve the best length abandons the remaining
-///   rounds: the unjittered roster already ran, and one fruitless jitter
-///   round is the evidence that tie-break noise is not what this program
-///   needs. (This is the stopping rule the old "always burn every seed"
-///   loop lacked. While every attempt still fails a tight budget, all
-///   rounds run — a later seed may be the first feasible one.)
-///
-/// Rounds are evaluated one after another; *within* a round, attempts run
-/// on the worker threads. The reduction is by rule, not arrival order —
-/// winner = bound-meeting attempt with the smallest enumeration index if
-/// any, else minimum `(length, index)` — and stop decisions sit at round
-/// barriers, so the result is **bit-identical for every thread count**.
-///
-/// # Errors
-///
-/// See [`best_effort_schedule`].
-pub fn best_effort_schedule_with(
-    program: &Program,
-    deps: &DependenceGraph,
-    matrix: &ConflictMatrix,
-    budget: Option<u32>,
-    restarts: u32,
-    threads: usize,
-) -> Result<Schedule, SchedError> {
-    // The stopping rule: computed once per run (not per single-pass entry
-    // point — the single-pass schedulers have no restart loop to stop).
-    let bound = crate::bounds::length_lower_bound(program, deps, matrix);
-    best_effort_bounded(
-        program,
-        deps,
-        matrix,
-        budget,
-        restarts,
-        threads,
-        bound,
-        &mut Fuel::unlimited(),
-        None,
-    )
-    .map(|(schedule, _)| schedule)
-}
-
-/// The restart engine behind [`best_effort_schedule_with`], taking the
-/// already-computed length lower bound so callers that need the bound
-/// themselves (the compaction pipeline) don't pay for it twice.
-///
-/// `fuel` is charged one unit per attempt, at round barriers only.
-/// Round 0 (the unjittered roster) is mandatory — it charges
-/// saturating, so even a zero budget yields a best-effort schedule —
-/// while every jittered round must pay up front or the run ends there.
-/// The returned `u64` counts the attempts that were skipped because fuel
-/// ran out (`0` = the search was not truncated). `cancel` is polled at
-/// the same barriers; a raised token aborts with
-/// [`SchedError::Cancelled`] and discards the partial result.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn best_effort_bounded(
-    program: &Program,
-    deps: &DependenceGraph,
-    matrix: &ConflictMatrix,
-    budget: Option<u32>,
-    restarts: u32,
-    threads: usize,
-    bound: u32,
-    fuel: &mut Fuel,
-    cancel: Option<&CancelToken>,
-) -> Result<(Schedule, u64), SchedError> {
-    let ctx = ScheduleContext::build(program, deps, budget);
-    let reversed = deps.reversed();
-    let ctx_rev = ScheduleContext::build(program, &reversed, budget);
-    let set = AttemptSet {
-        program,
-        deps,
-        reversed,
-        matrix,
-        ctx,
-        ctx_rev,
-        budget,
-    };
-    // Fixed enumeration: round 0 = all priorities × algorithms at seed 0,
-    // then one (priority, seed) round of 3 algorithms per jittered seed.
-    let mut attempts: Vec<(Priority, u64, Algo)> = Vec::new();
-    let mut rounds: Vec<std::ops::Range<usize>> = Vec::new();
-    for priority in ATTEMPT_PRIORITIES {
-        for algo in ATTEMPT_ALGOS {
-            attempts.push((priority, 0, algo));
-        }
-    }
-    rounds.push(0..attempts.len());
-    for seed in 1..=restarts as u64 {
-        for priority in ATTEMPT_PRIORITIES {
-            let start = attempts.len();
-            for algo in ATTEMPT_ALGOS {
-                attempts.push((priority, seed, algo));
-            }
-            rounds.push(start..attempts.len());
-        }
-    }
-    let threads = resolve_threads(threads, rounds[0].len() as u32);
-    let mut outcome = BestOutcome::default();
-    let mut scratch = SchedScratch::default();
-    let mut skipped = 0u64;
-    for (r, range) in rounds.iter().enumerate() {
-        // Cancellation and fuel both live at the round barrier: the
-        // decision to run a round is taken once, serially, so budgeted
-        // output stays bit-identical for every thread count.
-        if cancel.map(CancelToken::is_cancelled).unwrap_or(false) {
-            return Err(SchedError::Cancelled);
-        }
-        if r == 0 {
-            // The baseline roster is mandatory — exhaustion must still
-            // yield a schedule to degrade to.
-            fuel.charge_saturating(range.len() as u64);
-        } else if !fuel.try_charge(range.len() as u64) {
-            skipped = (attempts.len() - range.start) as u64;
-            break;
-        }
-        let before = outcome.best_len();
-        // Jittered rounds hold only 3 short attempts — too little work to
-        // amortise a thread spawn — so only round 0 fans out.
-        if threads <= 1 || range.len() < 6 {
-            for idx in range.clone() {
-                let cutoff = outcome.best_len();
-                outcome.note(
-                    idx as u32,
-                    set.run(&attempts[idx], &mut scratch, cutoff),
-                    bound,
-                );
-                if outcome.bound_met() {
-                    return outcome.winner().map(|s| (s, 0));
-                }
-            }
-        } else {
-            outcome = parallel_round(&set, &attempts, range.clone(), bound, threads, outcome);
-            if outcome.bound_met() {
-                return outcome.winner().map(|s| (s, 0));
-            }
-        }
-        // Stagnation: a jittered round that improved nothing ends the run
-        // — but never before *some* schedule exists, else a budgeted call
-        // would forfeit restarts that could still find a feasible one.
-        if r >= 1 && outcome.any.is_some() && outcome.best_len() >= before {
-            break;
-        }
-    }
-    outcome.winner().map(|s| (s, skipped))
-}
-
-/// Evaluates one round's attempts on `threads` workers, merging into
-/// `outcome`. Work-stealing over the round's index range; a worker skips
-/// index `k` only when a bound-meeting attempt with index `< k` is
-/// already recorded (which beats `k` under the reduction rule whatever
-/// `k` would produce), so the rule-chosen winner is always evaluated.
-fn parallel_round(
-    set: &AttemptSet<'_>,
-    attempts: &[(Priority, u64, Algo)],
-    range: std::ops::Range<usize>,
-    bound: u32,
-    threads: usize,
-    outcome: BestOutcome,
-) -> BestOutcome {
-    let next = AtomicU32::new(range.start as u32);
-    let end = range.end as u32;
-    // Best known `(length << 32 | index)` with length ≤ bound, for the
-    // skip rule; `u64::MAX` = none yet.
-    let best_packed = AtomicU64::new(u64::MAX);
-    let workers = threads.min(range.len());
-    let locals = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut local = BestOutcome::default();
-                    let mut scratch = SchedScratch::default();
-                    loop {
-                        let idx = next.fetch_add(1, Ordering::Relaxed);
-                        if idx >= end {
-                            break;
+            let (seed, priorities) = if r == 0 {
+                // The baseline roster is mandatory — exhaustion must
+                // still yield a schedule to degrade to.
+                fuel.charge_saturating(per_round * ATTEMPT_PRIORITIES.len() as u64);
+                (0, &ATTEMPT_PRIORITIES[..])
+            } else if fuel.try_charge(per_round) {
+                let k = r - 1;
+                let p = k % ATTEMPT_PRIORITIES.len();
+                (
+                    1 + (k / ATTEMPT_PRIORITIES.len()) as u64,
+                    &ATTEMPT_PRIORITIES[p..=p],
+                )
+            } else {
+                skipped = per_round * (rounds - r) as u64;
+                break;
+            };
+            let before = best.as_ref().map(Schedule::length);
+            for &priority in priorities {
+                for algo in ATTEMPT_ALGOS {
+                    let cutoff = best.as_ref().map(Schedule::length);
+                    match self.run(priority, seed, algo, &mut scratch, cutoff) {
+                        Ok(s) if s.length() <= self.bound => return Ok((s, 0)),
+                        Ok(s) if cutoff.map(|c| s.length() < c).unwrap_or(true) => {
+                            best = Some(s);
                         }
-                        let packed = best_packed.load(Ordering::Acquire);
-                        if packed != u64::MAX && (packed as u32) < idx {
-                            // A bound-meeting attempt with a smaller index
-                            // exists; it also beats every later index this
-                            // worker would pull.
-                            break;
-                        }
-                        let result = set.run(&attempts[idx as usize], &mut scratch, u32::MAX);
-                        if let Ok(s) = &result {
-                            let len = s.length();
-                            if len <= bound {
-                                best_packed.fetch_min(
-                                    (u64::from(len) << 32) | u64::from(idx),
-                                    Ordering::AcqRel,
-                                );
-                            }
-                        }
-                        local.note(idx, result, bound);
+                        Ok(_) => {}
+                        Err(e) => last_err = Some(e),
                     }
-                    local
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("scheduler worker panicked"))
-            .collect::<Vec<_>>()
-    });
-    locals.into_iter().fold(outcome, BestOutcome::merge)
+                }
+            }
+            // Stagnation: a jittered round that improved nothing ends the
+            // run — but never before *some* schedule exists, else a
+            // budgeted call would forfeit restarts that could still find
+            // a feasible one.
+            if r >= 1 && before.is_some() && best.as_ref().map(Schedule::length) >= before {
+                break;
+            }
+        }
+        match best {
+            Some(s) => Ok((s, skipped)),
+            None => Err(last_err.expect("round 0 runs at least one attempt")),
+        }
+    }
 }
 
 /// Insertion scheduling: RTs are placed one at a time, each into the
@@ -963,53 +850,6 @@ pub fn backward_insertion_schedule_in(
     Ok(flipped)
 }
 
-/// ALAP of the most urgent transitive sink of each RT (the RT's own ALAP
-/// for sinks) — the lane-coherent deadline of [`Priority::SinkAlap`].
-fn sink_alaps(deps: &DependenceGraph, alap: &[u32]) -> Vec<u32> {
-    let order = deps.topological_order();
-    let mut sink = vec![u32::MAX; deps.rt_count()];
-    for &rt in order.iter().rev() {
-        let i = rt.0 as usize;
-        let mut best = u32::MAX;
-        for (succ, _) in deps.successors(rt) {
-            best = best.min(sink[succ.0 as usize]);
-        }
-        sink[i] = if best == u32::MAX { alap[i] } else { best };
-    }
-    sink
-}
-
-/// The deadline target used for priority computation: the larger of the
-/// budget (if any), the critical path, and the distinct-usage resource
-/// pressure (the allocation-free bound from [`crate::bounds`] — this runs
-/// once per context build, i.e. on every scheduling call).
-fn priority_target(program: &Program, deps: &DependenceGraph, budget: Option<u32>) -> u32 {
-    budget
-        .unwrap_or(0)
-        .max(deps.critical_path() + 1)
-        .max(distinct_usage_bound(program))
-}
-
-/// Longest-chain depth of each RT (number of latency-weighted cycles of
-/// work after it) — the critical-path priority.
-fn successor_depths(deps: &DependenceGraph) -> Vec<u32> {
-    let order = deps.topological_order();
-    let mut depth = vec![0u32; deps.rt_count()];
-    for &rt in order.iter().rev() {
-        let i = rt.0 as usize;
-        for (succ, lat) in deps.successors(rt) {
-            depth[i] = depth[i].max(depth[succ.0 as usize] + lat);
-        }
-    }
-    depth
-}
-
-/// Upper bound on schedule length: every RT in its own cycle after its
-/// predecessors.
-fn serial_upper_bound(program: &Program, deps: &DependenceGraph) -> u32 {
-    program.rt_count() as u32 + deps.critical_path() + 1
-}
-
 /// Resource-pressure estimate used as a *priority target* — for each
 /// resource, the number of usage occurrences. Identical usages may
 /// legally share a cycle, so this can exceed the true optimum; use
@@ -1224,17 +1064,66 @@ mod tests {
         assert!(best.length() <= single.length());
     }
 
+    /// A seeded random program: chains with latencies 1..=3 over shared
+    /// units, plus zero-separation sequence edges.
+    fn random_program(seed: u64) -> (Program, Vec<(RtId, RtId, u32)>) {
+        const UNITS: [&str; 3] = ["alu", "mult", "ram"];
+        let n = 2 + (jitter(0, seed) % 30) as usize;
+        let mut p = Program::new();
+        let values: Vec<_> = (0..n).map(|i| p.add_value(format!("v{i}"))).collect();
+        let mut sequence = Vec::new();
+        for i in 0..n {
+            let r = jitter(i + 1, seed);
+            let mut rt = Rt::new(format!("rt{i}"));
+            rt.add_def(values[i]);
+            rt.set_latency(1 + (r % 3) as u32);
+            rt.add_usage(
+                UNITS[(r >> 8) as usize % 3],
+                Usage::token(["a", "b"][(r >> 12) as usize % 2]),
+            );
+            if i > 0 {
+                for k in 0..(r >> 16) % 3 {
+                    let from = (jitter(i * 7 + k as usize, seed) % i as u64) as usize;
+                    rt.add_use(values[from]);
+                }
+                if (r >> 20).is_multiple_of(4) {
+                    sequence.push((RtId((r >> 24) as u32 % i as u32), RtId(i as u32), 0));
+                }
+            }
+            p.add_rt(rt);
+        }
+        (p, sequence)
+    }
+
     #[test]
-    fn thread_count_never_changes_the_schedule() {
-        // The acceptance property of the parallel engine: identical
-        // schedules for identical inputs regardless of thread count.
-        let p = two_chain_program();
-        let deps = DependenceGraph::build(&p).unwrap();
-        for restarts in [0u32, 2, 5] {
-            let serial = best_effort_schedule_threaded(&p, &deps, None, restarts, 1).unwrap();
-            for threads in [0usize, 2, 3, 7, 16] {
-                let t = best_effort_schedule_threaded(&p, &deps, None, restarts, threads).unwrap();
-                assert_eq!(serial, t, "restarts {restarts}, threads {threads}");
+    fn fused_context_matches_per_field_analysis() {
+        let mut programs = vec![
+            (two_chain_program(), Vec::new()),
+            (Program::new(), Vec::new()),
+        ];
+        programs.extend((1..=64).map(random_program));
+        for (k, (p, sequence)) in programs.iter().enumerate() {
+            let deps = DependenceGraph::build_with_edges(p, sequence).unwrap();
+            let reversed = deps.reversed();
+            let facts = DepFacts::of(p, &deps);
+            let matrix = ConflictMatrix::build(p);
+            assert_eq!(
+                facts.length_lower_bound(&matrix),
+                crate::bounds::length_lower_bound(p, &deps, &matrix),
+                "program {k}"
+            );
+            for budget in [None, Some(1), Some(12), Some(80)] {
+                let expected = ScheduleContext::build_reference(p, &deps, budget);
+                assert_eq!(
+                    ScheduleContext::build(p, &deps, budget),
+                    expected,
+                    "program {k}"
+                );
+                assert_eq!(
+                    facts.mirrored(&reversed, budget),
+                    ScheduleContext::build_reference(p, &reversed, budget),
+                    "program {k}, mirrored"
+                );
             }
         }
     }

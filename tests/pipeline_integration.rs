@@ -199,3 +199,36 @@ fn feasibility_feedback_paths() {
         ),
     }
 }
+
+/// The audio-core size ladder the benchmark compiles, pinned under the
+/// default options: schedule length and sound lower bound per app, and
+/// the summed ROM bits. A scheduler change that moves any of these
+/// changes the code the designer gets, not just compile time.
+#[test]
+fn audio_core_ladder_schedules_are_pinned() {
+    let core = cores::audio_core();
+    let ladder: [(&str, String, u32, u32); 9] = [
+        ("fir8", apps::fir(8), 13, 13),
+        ("fir16", apps::fir(16), 21, 21),
+        ("fir32", apps::fir(32), 37, 37),
+        ("fir64", apps::fir(64), 69, 69),
+        ("sop16", apps::sum_of_products(16), 24, 16),
+        ("sop64", apps::sum_of_products(64), 75, 64),
+        ("biquad3", apps::biquad_cascade(3), 11, 10),
+        ("addtree8", apps::add_tree(8), 26, 24),
+        ("audio", apps::audio_application(), 73, 59),
+    ];
+    let (mut cycles, mut bounds, mut bits) = (0, 0, 0);
+    for (name, source, length, bound) in &ladder {
+        let compiled = Compiler::new(&core).compile(source).unwrap();
+        assert_eq!(
+            (compiled.cycles(), compiled.schedule_lower_bound()),
+            (*length, *bound),
+            "{name}: (schedule length, bound)"
+        );
+        cycles += compiled.cycles();
+        bounds += compiled.schedule_lower_bound();
+        bits += compiled.microcode.rom_bits();
+    }
+    assert_eq!((cycles, bounds, bits), (349, 313, 53_397));
+}

@@ -17,11 +17,10 @@ use dspcc::isa::derive_isa;
 use dspcc::{apps, cores, CellOutcome, CompileOptions, CompileSession, Core};
 use proptest::prelude::*;
 
-/// Fleet-style per-cell options: bounded fuel, serial scheduler.
+/// Fleet-style per-cell options: bounded fuel.
 fn cell_options() -> CompileOptions {
     CompileOptions {
         restarts: 2,
-        sched_threads: 1,
         fuel: Some(10_000),
         ..CompileOptions::default()
     }
